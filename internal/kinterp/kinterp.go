@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"cusango/internal/kir"
 	"cusango/internal/memspace"
@@ -97,8 +96,6 @@ type Engine struct {
 	mod     *kir.Module
 	cfg     Config
 	natives map[string]ThreadRange
-	// atomicMu serializes OpAtomicAddF across workers.
-	atomicMu sync.Mutex
 }
 
 // DefaultSerialThreshold is the launch size below which kernels run
@@ -180,42 +177,24 @@ func (e *Engine) LaunchView(name string, grid, block Dim3, args []Arg, view *mem
 	}
 
 	geom := geometry{grid: grid, block: block}
+	workers := e.workersFor(total)
+	return runChunks(total, workers, func(j *atomicJournal) chunkRunner {
+		v := view
+		if workers > 1 {
+			v = v.Clone() // a View's resolve cache is per goroutine
+		}
+		w := newWorker(e, v, geom, f, args)
+		w.atomics = j
+		return w
+	})
+}
 
-	if total <= e.cfg.SerialThreshold || e.cfg.Workers == 1 {
-		w := newWorker(e, view, geom, f, args)
-		return w.runRange(0, total)
+// workersFor returns the pool size for a launch of total threads.
+func (e *Engine) workersFor(total int) int {
+	if total <= e.cfg.SerialThreshold {
+		return 1
 	}
-
-	workers := e.cfg.Workers
-	if workers > total {
-		workers = total
-	}
-	chunk := (total + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			w := newWorker(e, view.Clone(), geom, f, args)
-			errs[wi] = w.runRange(lo, hi)
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.cfg.Workers
 }
 
 func checkArgs(f *kir.Function, args []Arg) error {
@@ -262,6 +241,8 @@ type worker struct {
 	lin      int
 	interval int32
 	log      *AccessLog
+	// atomics journals OpAtomicAddF (see atomic.go).
+	atomics *atomicJournal
 }
 
 func newWorker(e *Engine, v *memspace.View, g geometry, f *kir.Function, args []Arg) *worker {
@@ -484,10 +465,7 @@ func (w *worker) exec(f *kir.Function, fr *frame, ctx threadCtx, depth int, maxS
 				if w.log != nil {
 					w.record(addr, 8, AccessAtomic)
 				}
-				w.eng.atomicMu.Lock()
-				old := math.Float64frombits(binary.LittleEndian.Uint64(bs))
-				binary.LittleEndian.PutUint64(bs, math.Float64bits(old+fr.fregs[in.B]))
-				w.eng.atomicMu.Unlock()
+				w.atomics.add(addr, bs, fr.fregs[in.B])
 			case kir.OpSyncthreads:
 				// The interpreter runs each thread to completion
 				// independently, so the barrier is a pure interval marker:
@@ -532,50 +510,30 @@ func (w *worker) exec(f *kir.Function, fr *frame, ctx threadCtx, depth int, maxS
 	}
 }
 
-// launchNative runs a registered native kernel, fanning the thread range
-// across the worker pool for large launches.
+// launchNative runs a registered native kernel once per atomic chunk
+// (atomic.go), fanning the chunks across the worker pool for large
+// launches.
 func (e *Engine) launchNative(name string, fn ThreadRange, grid, block Dim3,
 	total int, args []Arg, view *memspace.View) error {
 	g := Geometry{Grid: grid, Block: block}
-	wrap := func(err error) error {
-		if err == nil {
-			return nil
-		}
+	err := runChunks(total, e.workersFor(total), func(j *atomicJournal) chunkRunner {
+		return &nativeRunner{fn: fn, g: g, args: args, view: *view.Deferring(j.addFn)}
+	})
+	if err != nil {
 		return &KernelError{Kernel: name, Err: err}
-	}
-	if total <= e.cfg.SerialThreshold || e.cfg.Workers == 1 {
-		return wrap(fn(g, 0, total, args, view))
-	}
-	workers := e.cfg.Workers
-	if workers > total {
-		workers = total
-	}
-	chunk := (total + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			errs[wi] = fn(g, lo, hi, args, view.Clone())
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return wrap(err)
-		}
 	}
 	return nil
 }
+
+// nativeRunner is one worker's share of a native launch.
+type nativeRunner struct {
+	fn   ThreadRange
+	g    Geometry
+	args []Arg
+	view memspace.View
+}
+
+func (r *nativeRunner) runRange(lo, hi int) error { return r.fn(r.g, lo, hi, r.args, &r.view) }
 
 func lef64(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))

@@ -86,12 +86,13 @@ func (e *Engine) LaunchLogged(name string, grid, block Dim3, args []Arg, mem *me
 	if total == 0 {
 		return log, nil
 	}
-	w := newWorker(e, mem.NewView(), geometry{grid: grid, block: block}, f, args)
-	w.log = log
-	if err := w.runRange(0, total); err != nil {
-		return log, err
-	}
-	return log, nil
+	err := runChunks(total, 1, func(j *atomicJournal) chunkRunner {
+		w := newWorker(e, mem.NewView(), geometry{grid: grid, block: block}, f, args)
+		w.log = log
+		w.atomics = j
+		return w
+	})
+	return log, err
 }
 
 // record appends one access event for the currently executing thread.

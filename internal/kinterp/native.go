@@ -92,39 +92,23 @@ func (v VecF64) Set(i int64, x float64) {
 	pef64(v.b[i*8:i*8+8], x)
 }
 
-// Add adds x to element i (single-threaded callers only; cross-worker
-// accumulation must go through Engine.AtomicAddF64).
+// Add adds x to element i (single-threaded callers only; cross-range
+// accumulation must go through GlobalAtomicAddF64).
 func (v VecF64) Add(i int64, x float64) {
 	pef64(v.b[i*8:i*8+8], lef64(v.b[i*8:i*8+8])+x)
 }
 
-// AtomicAddF64 performs the engine-serialized atomic float add native
-// kernels use for reductions (OpAtomicAddF analog).
-func (e *Engine) AtomicAddF64(view *memspace.View, addr memspace.Addr, x float64) error {
-	b, err := view.Bytes(addr, 8)
-	if err != nil {
-		return err
-	}
-	e.atomicMu.Lock()
-	pef64(b, lef64(b)+x)
-	e.atomicMu.Unlock()
-	return nil
-}
-
-// globalAtomicMu serializes GlobalAtomicAddF64 across all native-kernel
-// workers; per-range accumulation keeps it off the hot path.
+// globalAtomicMu serializes GlobalAtomicAddF64 on plain views.
 var globalAtomicMu sync.Mutex
 
 // GlobalAtomicAddF64 is the reduction primitive for native kernels
 // (atomicAdd analog). Native implementations accumulate locally per
-// thread range and publish once, so contention is negligible.
+// thread range and publish once. On the views the engine hands a native
+// kernel the add is journaled and applied in chunk order after the
+// launch (atomic.go), so the result does not depend on the worker
+// count; on a plain view it is applied at once.
 func GlobalAtomicAddF64(view *memspace.View, addr memspace.Addr, x float64) error {
-	b, err := view.Bytes(addr, 8)
-	if err != nil {
-		return err
-	}
 	globalAtomicMu.Lock()
-	pef64(b, lef64(b)+x)
-	globalAtomicMu.Unlock()
-	return nil
+	defer globalAtomicMu.Unlock()
+	return view.AddF64(addr, x)
 }

@@ -1,6 +1,10 @@
 package memspace
 
-import "sort"
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+)
 
 // View is an immutable snapshot of the segment table for concurrent
 // readers. The kernel interpreter creates one View per worker goroutine so
@@ -14,6 +18,9 @@ import "sort"
 type View struct {
 	segs []*Segment
 	last *Segment
+	// deferAdd, when non-nil, receives AddF64 calls instead of memory
+	// (see Deferring).
+	deferAdd func(a Addr, b []byte, x float64)
 }
 
 // NewView snapshots the current segment table.
@@ -26,6 +33,30 @@ func (m *Memory) NewView() *View {
 // Clone returns an independent View (own cache) over the same snapshot.
 func (v *View) Clone() *View {
 	return &View{segs: v.segs}
+}
+
+// Deferring returns a clone of v whose AddF64 calls are handed to fn,
+// with the target bytes, instead of being applied. A launcher running
+// kernel threads on several views uses it to apply their float
+// additions in an order of its own choosing.
+func (v *View) Deferring(fn func(a Addr, b []byte, x float64)) *View {
+	return &View{segs: v.segs, deferAdd: fn}
+}
+
+// AddF64 adds x to the little-endian float64 at a, or hands the
+// addition to the view's deferral function (see Deferring). The plain
+// read-modify-write is not atomic: concurrent callers serialize.
+func (v *View) AddF64(a Addr, x float64) error {
+	b, err := v.Bytes(a, 8)
+	if err != nil {
+		return err
+	}
+	if v.deferAdd != nil {
+		v.deferAdd(a, b, x)
+		return nil
+	}
+	binary.LittleEndian.PutUint64(b, math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(b))+x))
+	return nil
 }
 
 // Resolve returns the segment containing a, or nil.

@@ -78,3 +78,26 @@ func BenchmarkShardedIndex(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStencilWalk replays the shape of a checked Jacobi run: one
+// stream fiber alternately reads and writes a 256 KiB buffer, one arc
+// per iteration, and the host writes the first and last halo rows
+// between arcs. Every walk is at a new epoch, so the range cache never
+// hits and each iteration streams the shadow of the whole buffer: after
+// the first read-after-write both planes hold the stream's own cells.
+func BenchmarkStencilWalk(b *testing.B) {
+	const n = 256 << 10
+	const halo = 4 << 10
+	s := New(Config{})
+	stream := s.CreateFiber("stream")
+	s.WriteRange(base, n, hostW)
+	for i := 0; i < 4; i++ {
+		stencilStep(s, stream, n, halo, i)
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stencilStep(s, stream, n, halo, i)
+	}
+}

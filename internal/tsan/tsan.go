@@ -106,8 +106,8 @@ type Stats struct {
 	// Batched range-engine counters (all zero under EngineSlow).
 	EnginePages        int64 // shadow pages resolved by the page walker
 	EngineGranules     int64 // granules processed by the page walker
-	EngineFastGranules int64 // granules taken through the full-mask fast path
-	EngineSameGranules int64 // granules screened out by the packed-word compare (no store)
+	EngineFastGranules int64 // interior granules settled by the screen (stored without checkGranule)
+	EngineSameGranules int64 // interior granules already holding the identical word (no store)
 	RangeCacheHits     int64 // range annotations satisfied by the same-epoch cache
 	RangeCacheMisses   int64 // range annotations that had to walk
 

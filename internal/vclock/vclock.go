@@ -119,6 +119,12 @@ func (c *Clock) Concurrent(other *Clock) bool {
 	return !c.HappensBefore(other) && !other.HappensBefore(c)
 }
 
+// Epochs returns the clock's dense component slice, indexed by context
+// id (ids past its end are at epoch 0). It aliases the clock: callers
+// must not modify it, and must not keep it across a Set, Tick, Join or
+// Assign.
+func (c *Clock) Epochs() []Epoch { return c.ts }
+
 // Len returns the number of components tracked.
 func (c *Clock) Len() int { return len(c.ts) }
 
