@@ -96,8 +96,9 @@ type Counters struct {
 	// detector's epoch-batched fast path (one clock-component store
 	// instead of a full vector join).
 	ReleasesBatched int64 `json:"releases_batched"`
-	// BatchOps counts range annotations submitted through the batched
-	// parallel checking entry point (kernel-argument batches).
+	// BatchOps counts the range annotations issued for kernel
+	// arguments, after boundary splitting (a subset of ReadRanges +
+	// WriteRanges).
 	BatchOps int64 `json:"batch_ops"`
 	// ShadowPagesShed counts pages dropped by the sanitizer's shadow
 	// budget; non-zero means the run traded completeness (possible
@@ -125,7 +126,6 @@ func CountersFromStats(st tsan.Stats) Counters {
 		RangeCacheHits:     st.RangeCacheHits,
 		RangeCacheMisses:   st.RangeCacheMisses,
 		ReleasesBatched:    st.ReleasesBatched,
-		BatchOps:           st.BatchOps,
 		ShadowPagesShed:    st.ShadowPagesShed,
 	}
 }
@@ -174,9 +174,6 @@ type Runtime struct {
 
 	ctr Counters
 
-	// batchOps is the reusable kernel-argument annotation batch buffer.
-	batchOps []tsan.RangeOp
-
 	// access-info caches, so hot paths don't allocate.
 	kernelInfos map[string][]*tsan.AccessInfo
 	memcpyRead  *tsan.AccessInfo
@@ -222,7 +219,6 @@ func (r *Runtime) Counters() Counters {
 	c.RangeCacheHits = st.RangeCacheHits
 	c.RangeCacheMisses = st.RangeCacheMisses
 	c.ReleasesBatched = st.ReleasesBatched
-	c.BatchOps = st.BatchOps
 	c.ShadowPagesShed = st.ShadowPagesShed
 	return c
 }
@@ -353,10 +349,10 @@ func (r *Runtime) leaveStream(st *streamState) {
 
 // annotateRange marks [a, a+n) with the given access on the current
 // fiber, honouring the memory-tracking ablation and the boundary-only
-// optimization.
-func (r *Runtime) annotateRange(a memspace.Addr, n int64, write bool, info *tsan.AccessInfo) {
+// optimization. It returns the number of range annotations issued.
+func (r *Runtime) annotateRange(a memspace.Addr, n int64, write bool, info *tsan.AccessInfo) int64 {
 	if r.opts.DisableMemoryTracking || n <= 0 {
-		return
+		return 0
 	}
 	if b := r.opts.BoundaryBytes; b > 0 && n > 2*b {
 		if write {
@@ -370,7 +366,7 @@ func (r *Runtime) annotateRange(a memspace.Addr, n int64, write bool, info *tsan
 			r.san.ReadRange(a, b, info)
 			r.san.ReadRange(a+memspace.Addr(n-b), b, info)
 		}
-		return
+		return 2
 	}
 	if write {
 		r.ctr.WriteRanges++
@@ -381,49 +377,17 @@ func (r *Runtime) annotateRange(a memspace.Addr, n int64, write bool, info *tsan
 		r.ctr.ReadBytes += n
 		r.san.ReadRange(a, n, info)
 	}
+	return 1
 }
 
-// appendRangeOp queues one range annotation for a kernel-argument
-// batch, applying the same ablation and boundary-only splitting (and
-// counter accounting) as annotateRange.
-func (r *Runtime) appendRangeOp(ops []tsan.RangeOp, a memspace.Addr, n int64,
-	write bool, info *tsan.AccessInfo) []tsan.RangeOp {
-	if r.opts.DisableMemoryTracking || n <= 0 {
-		return ops
-	}
-	if b := r.opts.BoundaryBytes; b > 0 && n > 2*b {
-		if write {
-			r.ctr.WriteRanges += 2
-			r.ctr.WriteBytes += 2 * b
-		} else {
-			r.ctr.ReadRanges += 2
-			r.ctr.ReadBytes += 2 * b
-		}
-		return append(ops,
-			tsan.RangeOp{Addr: a, Len: b, Write: write, Info: info},
-			tsan.RangeOp{Addr: a + memspace.Addr(n-b), Len: b, Write: write, Info: info})
-	}
-	if write {
-		r.ctr.WriteRanges++
-		r.ctr.WriteBytes += n
-	} else {
-		r.ctr.ReadRanges++
-		r.ctr.ReadBytes += n
-	}
-	return append(ops, tsan.RangeOp{Addr: a, Len: n, Write: write, Info: info})
-}
-
-// PreKernelLaunch implements the kernel-call protocol of paper §IV-A(b).
-// The argument annotations of one launch are all issued by the stream
-// fiber at one epoch, so they are submitted as a single AnnotateBatch —
-// the sanitizer checks them in parallel when its page index is sharded,
-// and one at a time otherwise.
+// PreKernelLaunch implements the kernel-call protocol of paper §IV-A(b):
+// every pointer argument is annotated as a read and/or write range on
+// the stream fiber.
 func (r *Runtime) PreKernelLaunch(l *cuda.KernelLaunch) {
 	r.ctr.KernelCalls++
 	st := r.trackStream(streamOf(l.Stream))
 	infos := r.kernelArgInfos(l)
 	r.enterStream(st)
-	ops := r.batchOps[:0]
 	for i, arg := range l.Args {
 		if arg.Kind != kinterp.ArgPtr || arg.Ptr == 0 {
 			continue
@@ -438,16 +402,12 @@ func (r *Runtime) PreKernelLaunch(l *cuda.KernelLaunch) {
 			continue
 		}
 		if acc.MayRead() {
-			ops = r.appendRangeOp(ops, arg.Ptr, extent, false, infos[i])
+			r.ctr.BatchOps += r.annotateRange(arg.Ptr, extent, false, infos[i])
 		}
 		if acc.MayWrite() {
-			ops = r.appendRangeOp(ops, arg.Ptr, extent, true, infos[i])
+			r.ctr.BatchOps += r.annotateRange(arg.Ptr, extent, true, infos[i])
 		}
 	}
-	if len(ops) > 0 {
-		r.san.AnnotateBatch(ops)
-	}
-	r.batchOps = ops[:0]
 	r.leaveStream(st)
 }
 
@@ -619,7 +579,7 @@ func (r *Runtime) FormatCounters() string {
 	fmt.Fprintf(&b, "  Range-cache hits            %8d\n", c.RangeCacheHits)
 	fmt.Fprintf(&b, "  Range-cache misses          %8d\n", c.RangeCacheMisses)
 	fmt.Fprintf(&b, "  Batched releases            %8d\n", c.ReleasesBatched)
-	fmt.Fprintf(&b, "  Batch range ops             %8d\n", c.BatchOps)
+	fmt.Fprintf(&b, "  Kernel-argument ranges      %8d\n", c.BatchOps)
 	fmt.Fprintf(&b, "  Shadow pages shed           %8d\n", c.ShadowPagesShed)
 	return b.String()
 }

@@ -440,6 +440,30 @@ func TestAblationDisableMemoryTracking(t *testing.T) {
 	if st := e.san.Stats(); st.WriteRangeCalls != 0 {
 		t.Fatalf("write ranges annotated despite ablation: %d", st.WriteRangeCalls)
 	}
+	checkLaunchRanges(t, Options{DisableMemoryTracking: true}, 0, 0)
+}
+
+// checkLaunchRanges launches reader(out, buf) once under opts and checks
+// the kernel-argument annotations: perArg ranges of rangeBytes each for
+// the read of buf and again for the write of out, all counted as
+// kernel-argument ranges (BatchOps) and mirrored in the sanitizer.
+func checkLaunchRanges(t *testing.T, opts Options, perArg, rangeBytes int64) {
+	t.Helper()
+	e := newEnv(t, opts)
+	out, buf := e.allocDev(t), e.allocDev(t)
+	e.launch(t, "reader", nil, out, buf)
+	c := e.rt.Counters()
+	if c.BatchOps != 2*perArg || c.ReadRanges != perArg || c.WriteRanges != perArg ||
+		c.ReadBytes != perArg*rangeBytes || c.WriteBytes != perArg*rangeBytes {
+		t.Errorf("%+v: launch ranges batch=%d read=%d/%dB write=%d/%dB, want batch=%d and %d ranges of %dB per argument",
+			opts, c.BatchOps, c.ReadRanges, c.ReadBytes, c.WriteRanges, c.WriteBytes,
+			2*perArg, perArg, rangeBytes)
+	}
+	st := e.san.Stats()
+	if st.ReadRangeCalls != c.ReadRanges || st.WriteRangeCalls != c.WriteRanges ||
+		st.ReadBytes != c.ReadBytes || st.WriteBytes != c.WriteBytes {
+		t.Errorf("%+v: sanitizer saw %+v, cusan counted %+v", opts, st, c)
+	}
 }
 
 func TestBoundaryOnlyTracking(t *testing.T) {
@@ -462,6 +486,12 @@ func TestBoundaryOnlyTracking(t *testing.T) {
 	if st.WriteBytes >= n*8 {
 		t.Fatalf("boundary mode tracked %d bytes, expected < %d", st.WriteBytes, n*8)
 	}
+	// Each argument extent splits into its two boundary ranges.
+	if c := e.rt.Counters(); c.BatchOps != 2 || c.WriteRanges != 2 || c.WriteBytes != 2*16 {
+		t.Fatalf("boundary launch counted batch=%d write=%d/%dB, want 2 ranges of 16B",
+			c.BatchOps, c.WriteRanges, c.WriteBytes)
+	}
+	checkLaunchRanges(t, Options{BoundaryBytes: 16}, 2, 16)
 }
 
 func TestCountersTableI(t *testing.T) {
@@ -489,6 +519,14 @@ func TestCountersTableI(t *testing.T) {
 	if c.Streams != 2 { // default + one user stream
 		t.Errorf("streams = %d", c.Streams)
 	}
+	// One write range per kernel argument, plus the memset's write and
+	// the memcpy's read and write; only the launches are kernel-argument
+	// ranges.
+	if c.BatchOps != 2 || c.WriteRanges != 4 || c.WriteBytes != 4*n*8 ||
+		c.ReadRanges != 1 || c.ReadBytes != n*8 {
+		t.Errorf("ranges: batch=%d write=%d/%dB read=%d/%dB, want 2, 4/%dB, 1/%dB",
+			c.BatchOps, c.WriteRanges, c.WriteBytes, c.ReadRanges, c.ReadBytes, 4*n*8, n*8)
+	}
 	st := e.san.Stats()
 	// 2 switches per device op (enter+leave): kernels(2) + memset + memcpy.
 	if st.FiberSwitches != 8 {
@@ -504,6 +542,7 @@ func TestCountersTableI(t *testing.T) {
 	if st.HappensAfter == 0 {
 		t.Error("expected happens-after events from syncs and memcpy")
 	}
+	checkLaunchRanges(t, Options{}, 1, n*8)
 }
 
 func TestExtentComesFromTypeART(t *testing.T) {

@@ -252,3 +252,37 @@ func TestPostAbortBufferedSend(t *testing.T) {
 		t.Fatalf("post-abort buffered Send returned %v, want success", err)
 	}
 }
+
+// TestAbortedRankStaysDead: once a rank's own injected abort fired, its
+// later calls fail with that same fault instead of communicating — an
+// application that ignores the first error must not deliver a message
+// the job's peers could race against the abort.
+func TestAbortedRankStaysDead(t *testing.T) {
+	w := NewWorld(2)
+	comms := attach(t, w)
+	plan, err := faults.Parse("mpi-abort@0:r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms[0].SetInjector(plan.Injector(0))
+	sbuf := comms[0].mem.Alloc(64, memspace.KindHostPageable)
+
+	first := comms[0].Send(sbuf, 8, Float64, 1, 0)
+	if f, ok := faults.Extract(first); !ok || f.Site != faults.MPIRankAbort {
+		t.Fatalf("first Send returned %v, want the injected mpi-abort fault", first)
+	}
+	second := comms[0].Send(sbuf, 8, Float64, 1, 0)
+	f, ok := faults.Extract(second)
+	if !ok || f.Site != faults.MPIRankAbort || f.Occurrence != 0 {
+		t.Fatalf("Send after the rank's own abort returned %v, want its mpi-abort fault", second)
+	}
+	if second.Error() != first.Error() {
+		t.Fatalf("later call error %q differs from the abort error %q", second, first)
+	}
+	if st := comms[0].Stats(); st.Sends != 0 || st.BytesSent != 0 {
+		t.Fatalf("dead rank sent anyway: %+v", st)
+	}
+	if _, _, err := comms[1].Iprobe(0, 0); !errors.Is(err, ErrAborted) {
+		t.Fatalf("peer Iprobe after the abort returned %v, want ErrAborted (nothing delivered)", err)
+	}
+}

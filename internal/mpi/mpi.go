@@ -425,6 +425,9 @@ type Comm struct {
 	finalized bool
 	// ops counts full MPI operations started, against world.opBudget.
 	ops int64
+	// dead is this rank's own abort error, set when an injected rank
+	// abort fires and returned by every later call.
+	dead error
 	// live tracks incomplete requests for MUST's leak check.
 	live map[*Request]struct{}
 }
@@ -460,11 +463,18 @@ func (c *Comm) SetInjector(in *faults.Injector) { c.inj = in }
 // abort is instead observed at completion points (waitAbortable, Test,
 // Iprobe), where "this operation can never complete" is a deterministic
 // property of the fault plan: the specific ranks whose participation
-// the operation still needs are dead (see waitAbortable).
+// the operation still needs are dead (see waitAbortable). The rank's
+// own death is different: it is a deterministic point in its program,
+// so once the abort fired here every later call returns the same error
+// (an application that ignores the error must not go on sending).
 func (c *Comm) enter() error {
+	if c.dead != nil {
+		return c.dead
+	}
 	if f := c.inj.Fire(faults.MPIRankAbort); f != nil {
 		c.world.Abort(c.rank, f)
-		return fmt.Errorf("rank %d aborted: %w", c.rank, f)
+		c.dead = fmt.Errorf("rank %d aborted: %w", c.rank, f)
+		return c.dead
 	}
 	if f := c.inj.Fire(faults.SchedStall); f != nil {
 		// The rank wedges at this call, modelling a hung process: it

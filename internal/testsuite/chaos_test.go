@@ -63,20 +63,37 @@ func TestChaosReproduction(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministic: the same (case, plan, engine) run twice fires
-// the identical fault sequence and yields the identical verdict.
+// TestChaosDeterministic: the same (case, plan, engine) run repeatedly
+// fires the identical fault sequence and yields the identical verdict,
+// including the attributed application fault. The extra input is a
+// schedule where rank 0 aborts in a Send whose error the application
+// ignores: it pins that the dead rank does not go on sending, which
+// would race its peer's receive against the world abort.
 func TestChaosDeterministic(t *testing.T) {
-	plan := faults.Seeded(7, 0.1)
+	type input struct {
+		c    Case
+		plan *faults.Plan
+	}
+	var inputs []input
 	for _, c := range Cases()[:8] {
-		a := RunChaosCase(c, plan, tsan.EngineBatched)
-		b := RunChaosCase(c, plan, tsan.EngineBatched)
-		if len(a.Injected) != len(b.Injected) || a.Races != b.Races || a.OK() != b.OK() {
-			t.Fatalf("%s: nondeterministic chaos run: %v vs %v", c.Name, a, b)
-		}
-		for i := range a.Injected {
-			if a.Injected[i].Spec() != b.Injected[i].Spec() {
-				t.Fatalf("%s: fault %d differs: %s vs %s",
-					c.Name, i, a.Injected[i].Spec(), b.Injected[i].Spec())
+		inputs = append(inputs, input{c, faults.Seeded(7, 0.1)})
+	}
+	inputs = append(inputs, input{findCase(t, "must/send_count_exceeds_allocation"), faults.Seeded(5, 0.05)})
+	const reruns = 4
+	for _, in := range inputs {
+		a := RunChaosCase(in.c, in.plan, tsan.EngineBatched)
+		for range reruns {
+			b := RunChaosCase(in.c, in.plan, tsan.EngineBatched)
+			if len(a.Injected) != len(b.Injected) || a.Races != b.Races || a.OK() != b.OK() ||
+				faultLabel(a.AppFault) != faultLabel(b.AppFault) {
+				t.Fatalf("%s: nondeterministic chaos run: %v (fault %q) vs %v (fault %q)",
+					in.c.Name, a, faultLabel(a.AppFault), b, faultLabel(b.AppFault))
+			}
+			for i := range a.Injected {
+				if a.Injected[i].Spec() != b.Injected[i].Spec() {
+					t.Fatalf("%s: fault %d differs: %s vs %s",
+						in.c.Name, i, a.Injected[i].Spec(), b.Injected[i].Spec())
+				}
 			}
 		}
 	}

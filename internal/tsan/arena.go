@@ -1,7 +1,5 @@
 package tsan
 
-import "sync"
-
 // Hot-path memory discipline: everything the detector allocates at
 // steady state comes out of chunked arenas with free lists, so the
 // clean access path — annotate a range over warm shadow, release and
@@ -75,29 +73,4 @@ func (a *pageArena) newPage(k int) *shadowPage {
 // free returns a shed page's storage to the free list for reuse.
 func (a *pageArena) free(p *shadowPage) {
 	a.freeList = append(a.freeList, p)
-}
-
-// pageShard is one bucket of the sharded page index: a private map,
-// lock, and arena. Shard ownership is the concurrency invariant of the
-// batched parallel checker: a batch worker only ever touches pages
-// whose shard it owns for the duration of the batch, so cell and index
-// mutation is single-writer per shard. The lock serializes the
-// (rare) cross-batch window where the sequential path and a future
-// concurrent caller could both resolve pages.
-type pageShard struct {
-	mu    sync.Mutex
-	pages map[uint64]*shadowPage
-	arena pageArena
-	_     [24]byte // keep neighbouring shards off one cache line
-}
-
-// page resolves (allocating on demand) a page inside this shard. The
-// caller holds sh.mu or owns the shard for the current batch.
-func (sh *pageShard) page(idx uint64, k int) *shadowPage {
-	p, ok := sh.pages[idx]
-	if !ok {
-		p = sh.arena.newPage(k)
-		sh.pages[idx] = p
-	}
-	return p
 }

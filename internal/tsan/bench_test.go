@@ -2,10 +2,7 @@ package tsan
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-
-	"cusango/internal/memspace"
 )
 
 // Microbenchmarks for the packed-shadow hot path. These feed the CI
@@ -46,36 +43,6 @@ func BenchmarkPackedShadowSlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.WriteRange(base, n, info)
-	}
-}
-
-// BenchmarkShardedIndex measures AnnotateBatch over the sharded page
-// index: one kernel launch's worth of argument ranges checked by
-// GOMAXPROCS-bounded workers. Scaling shows up with spare cores; on a
-// single-CPU runner this measures the fan-out overhead.
-func BenchmarkShardedIndex(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := New(Config{Shards: 16, BatchWorkers: workers, DisableRangeCache: true})
-			const args = 8
-			const per = 256 << 10
-			ops := make([]RangeOp, args)
-			for i := range ops {
-				ops[i] = RangeOp{
-					Addr:  base + memspace.Addr(i)*(per+4<<20),
-					Len:   per,
-					Write: i%2 == 0,
-					Info:  &AccessInfo{Site: "bench launch", Object: fmt.Sprintf("arg %d", i)},
-				}
-			}
-			s.AnnotateBatch(ops) // allocate pages
-			b.SetBytes(args * per)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.AnnotateBatch(ops)
-			}
-		})
 	}
 }
 

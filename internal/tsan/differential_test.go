@@ -23,11 +23,11 @@ type cellState struct {
 
 // shadowCells flattens the live shadow memory into slot index -> state,
 // resolving interned site ids back to pointers so the comparison is
-// representation-independent. Works in both index modes.
+// representation-independent.
 func shadowCells(s *Sanitizer) map[uint64]cellState {
 	out := make(map[uint64]cellState)
 	k := uint64(s.shadow.k)
-	collect := func(idx uint64, p *shadowPage) {
+	for idx, p := range s.shadow.pages {
 		for slot := uint64(0); slot < k; slot++ {
 			for gi, c := range p.cells[slot] {
 				if c != 0 {
@@ -35,17 +35,6 @@ func shadowCells(s *Sanitizer) map[uint64]cellState {
 						cellState{cell: c, info: s.infoTab[p.infos[slot][gi]]}
 				}
 			}
-		}
-	}
-	if s.shadow.shards != nil {
-		for si := range s.shadow.shards {
-			for idx, p := range s.shadow.shards[si].pages {
-				collect(idx, p)
-			}
-		}
-	} else {
-		for idx, p := range s.shadow.pages {
-			collect(idx, p)
 		}
 	}
 	return out

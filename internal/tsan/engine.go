@@ -42,8 +42,8 @@ import (
 // tests in screen_test.go pin that equivalence.
 
 // spanCtr accumulates engine counters locally during a walk; totals are
-// folded into Stats once per range (or per batch worker), keeping the
-// inner loop free of field stores.
+// folded into Stats once per range, keeping the inner loop free of field
+// stores.
 type spanCtr struct {
 	granules int64
 	fast     int64
@@ -83,7 +83,7 @@ func (s *Sanitizer) accessRangeBatched(a memspace.Addr, n int64, write bool, inf
 		if pageEnd := pageIdx<<pageGranuleShift + pageGranuleMask; pageEnd < gStop {
 			gStop = pageEnd
 		}
-		s.walkSpan(p, g, gStop, start, end, write, f, ep, infoID, newWord, nil, &ctr)
+		s.walkSpan(p, g, gStop, start, end, write, f, ep, infoID, newWord, &ctr)
 		g = gStop + 1
 	}
 
@@ -101,14 +101,11 @@ func (s *Sanitizer) accessRangeBatched(a memspace.Addr, n int64, write bool, inf
 }
 
 // walkSpan processes granules [g, gStop] of page p for an access to
-// [start, end). It is the one shared inner loop: the sequential batched
-// engine calls it with sink == nil (races reported inline) and
-// AnnotateBatch workers call it with a per-worker candidate sink
-// (shard.go). The interior full-mask sub-range is clipped once, then
+// [start, end). The interior full-mask sub-range is clipped once, then
 // streamed through the packed-word screen.
 func (s *Sanitizer) walkSpan(p *shadowPage, g, gStop, start, end uint64,
 	write bool, f *Fiber, ep vclock.Epoch, infoID uint32, newWord uint64,
-	sink *[]raceCand, ctr *spanCtr) {
+	ctr *spanCtr) {
 	// Interior granules of the whole range: full byte mask.
 	gIntLo := (start + granuleBytes - 1) >> granuleShift
 	gIntHi := end>>granuleShift - 1
@@ -120,7 +117,7 @@ func (s *Sanitizer) walkSpan(p *shadowPage, g, gStop, start, end uint64,
 	for ; g <= gStop && g < gIntLo; g++ {
 		gBase := g << granuleShift
 		s.checkGranule(p, int(g&pageGranuleMask), g, partialMask(gBase, start, end),
-			write, f, ep, infoID, memspace.Addr(gBase), sink)
+			write, f, ep, infoID, memspace.Addr(gBase))
 		ctr.granules++
 	}
 
@@ -161,10 +158,10 @@ func (s *Sanitizer) walkSpan(p *shadowPage, g, gStop, start, end uint64,
 					ctr.fast++
 					continue
 				}
-				s.settleOnePlane(p, giLo+j, g+uint64(j), write, f, ep, infoID, newWord, sink, ctr)
+				s.settleOnePlane(p, giLo+j, g+uint64(j), write, f, ep, infoID, newWord, ctr)
 			}
 		case k == 2:
-			s.screenTwoPlanes(p, giLo, n, g, write, f, ep, infoID, newWord, sink, ctr)
+			s.screenTwoPlanes(p, giLo, n, g, write, f, ep, infoID, newWord, ctr)
 		default:
 			for j := 0; j < n; j++ {
 				c := c0[j]
@@ -188,7 +185,7 @@ func (s *Sanitizer) walkSpan(p *shadowPage, g, gStop, start, end uint64,
 					}
 				}
 				s.checkGranule(p, giLo+j, g+uint64(j), fullMask, write, f, ep,
-					infoID, memspace.Addr((g+uint64(j))<<granuleShift), sink)
+					infoID, memspace.Addr((g+uint64(j))<<granuleShift))
 			}
 		}
 		g += uint64(n)
@@ -198,7 +195,7 @@ func (s *Sanitizer) walkSpan(p *shadowPage, g, gStop, start, end uint64,
 	for ; g <= gStop; g++ {
 		gBase := g << granuleShift
 		s.checkGranule(p, int(g&pageGranuleMask), g, partialMask(gBase, start, end),
-			write, f, ep, infoID, memspace.Addr(gBase), sink)
+			write, f, ep, infoID, memspace.Addr(gBase))
 		ctr.granules++
 	}
 }
@@ -245,7 +242,7 @@ func classifyCell(c, screen, own uint64, vc []vclock.Epoch) uint8 {
 // first empty cell, else the first ordered cell, else rotate to g % 2.
 func (s *Sanitizer) screenTwoPlanes(p *shadowPage, giLo, n int, g uint64,
 	write bool, f *Fiber, ep vclock.Epoch, infoID uint32, newWord uint64,
-	sink *[]raceCand, ctr *spanCtr) {
+	ctr *spanCtr) {
 	screen := newWord & screenMask
 	own := uint64(f.id)
 	vc := f.clock.Epochs()
@@ -275,7 +272,7 @@ func (s *Sanitizer) screenTwoPlanes(p *shadowPage, giLo, n int, g uint64,
 			switch {
 			case ka == cellConcurrent || kb == cellConcurrent:
 				s.checkGranule(p, giLo+j, g+uint64(j), fullMask, write, f, ep,
-					infoID, memspace.Addr((g+uint64(j))<<granuleShift), sink)
+					infoID, memspace.Addr((g+uint64(j))<<granuleShift))
 				continue
 			case kb == cellOwnSame:
 				slot = 1
@@ -321,12 +318,11 @@ func (s *Sanitizer) screenTwoPlanes(p *shadowPage, giLo, n int, g uint64,
 // the empty plane-1 cell, exactly as checkGranule would place it; only a
 // concurrent cell needs checkGranule.
 func (s *Sanitizer) settleOnePlane(p *shadowPage, gi int, g uint64, write bool,
-	f *Fiber, ep vclock.Epoch, infoID uint32, newWord uint64, sink *[]raceCand,
-	ctr *spanCtr) {
+	f *Fiber, ep vclock.Epoch, infoID uint32, newWord uint64, ctr *spanCtr) {
 	c := p.cells[0][gi]
 	if classifyCell(c, newWord&screenMask, uint64(f.id), f.clock.Epochs()) == cellConcurrent {
 		s.checkGranule(p, gi, g, fullMask, write, f, ep, infoID,
-			memspace.Addr(g<<granuleShift), sink)
+			memspace.Addr(g<<granuleShift))
 		return
 	}
 	slot := 0

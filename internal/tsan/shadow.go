@@ -95,16 +95,9 @@ type shadowPage struct {
 	aux int32
 }
 
-// shadowMap is the page index. It runs in one of two modes:
-//
-//   - unsharded (the default): a single map with a one-entry
-//     most-recently-used cache, plus the optional FIFO page budget
-//     (MaxShadowPages graceful degradation);
-//   - sharded (Config.Shards > 1): pages are distributed over a
-//     power-of-two array of shards by a multiplicative hash of the page
-//     index. Each shard owns its own map, lock, and page arena, so
-//     AnnotateBatch can check page-disjoint work from several
-//     goroutines without sharing any allocator or index state.
+// shadowMap is the page index: a single map with a one-entry
+// most-recently-used cache, plus the optional FIFO page budget
+// (MaxShadowPages graceful degradation).
 type shadowMap struct {
 	k     int
 	pages map[uint64]*shadowPage
@@ -123,69 +116,37 @@ type shadowMap struct {
 	maxPages int
 	order    []uint64 // page indices in creation order (FIFO)
 	shed     int64
-
-	// Sharded mode (nil when unsharded).
-	shards    []pageShard
-	shardMask uint64
 }
 
-func (m *shadowMap) init(k, shards int) {
+func (m *shadowMap) init(k, maxPages int) {
 	m.k = k
+	m.maxPages = maxPages
 	m.lastIdx = ^uint64(0)
-	if shards > 1 {
-		m.shards = make([]pageShard, shards)
-		m.shardMask = uint64(shards - 1)
-		for i := range m.shards {
-			m.shards[i].pages = make(map[uint64]*shadowPage)
-		}
-		return
-	}
 	m.pages = make(map[uint64]*shadowPage)
 }
 
-// shardIndex maps a page index to its shard number (Fibonacci hashing:
-// page indices are strongly structured — consecutive, or strided by
-// allocation bases — and the golden-ratio multiply spreads both).
-func (m *shadowMap) shardIndex(idx uint64) uint64 {
-	return (idx * 0x9E3779B97F4A7C15) >> 32 & m.shardMask
-}
-
-func (m *shadowMap) shardOf(idx uint64) *pageShard {
-	return &m.shards[m.shardIndex(idx)]
-}
-
 // page resolves (allocating on demand) the shadow page with the given
-// page index. Only the owning rank goroutine calls this; concurrent
-// batch workers go through pageShard.page directly.
+// page index.
 func (m *shadowMap) page(idx uint64) *shadowPage {
 	if idx == m.lastIdx {
 		return m.lastPage
 	}
-	var p *shadowPage
-	if m.shards != nil {
-		sh := m.shardOf(idx)
-		sh.mu.Lock()
-		p = sh.page(idx, m.k)
-		sh.mu.Unlock()
-	} else {
-		var ok bool
-		p, ok = m.pages[idx]
-		if !ok {
-			p = m.arena.newPage(m.k)
-			m.pages[idx] = p
-			if m.maxPages > 0 {
-				m.order = append(m.order, idx)
-				for len(m.pages) > m.maxPages {
-					victim := m.order[0]
-					m.order = m.order[1:]
-					m.arena.free(m.pages[victim])
-					delete(m.pages, victim)
-					if victim == m.lastIdx {
-						m.lastIdx = ^uint64(0)
-						m.lastPage = nil
-					}
-					m.shed++
+	p, ok := m.pages[idx]
+	if !ok {
+		p = m.arena.newPage(m.k)
+		m.pages[idx] = p
+		if m.maxPages > 0 {
+			m.order = append(m.order, idx)
+			for len(m.pages) > m.maxPages {
+				victim := m.order[0]
+				m.order = m.order[1:]
+				m.arena.free(m.pages[victim])
+				delete(m.pages, victim)
+				if victim == m.lastIdx {
+					m.lastIdx = ^uint64(0)
+					m.lastPage = nil
 				}
+				m.shed++
 			}
 		}
 	}
@@ -194,20 +155,8 @@ func (m *shadowMap) page(idx uint64) *shadowPage {
 	return p
 }
 
-// pageCount returns the number of live shadow pages in either mode.
-func (m *shadowMap) pageCount() int {
-	if m.shards == nil {
-		return len(m.pages)
-	}
-	n := 0
-	for i := range m.shards {
-		n += len(m.shards[i].pages)
-	}
-	return n
-}
-
 // bytes estimates the shadow footprint: 12 bytes per cell slot
 // (packed word + interned site index).
 func (m *shadowMap) bytes() int64 {
-	return int64(m.pageCount()) * pageGranules * int64(m.k) * 12
+	return int64(len(m.pages)) * pageGranules * int64(m.k) * 12
 }

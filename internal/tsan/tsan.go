@@ -118,10 +118,6 @@ type Stats struct {
 	// joining the whole vector.
 	ReleasesBatched int64
 
-	// BatchOps counts range annotations submitted through AnnotateBatch
-	// (the sharded parallel checking entry point).
-	BatchOps int64
-
 	// ShadowPagesShed counts pages dropped by the Config.MaxShadowPages
 	// budget (0 when unbounded or never exceeded).
 	ShadowPagesShed int64
@@ -255,19 +251,8 @@ type Config struct {
 	// application memory each). Exceeding the cap sheds the oldest page:
 	// its recorded accesses read as "never accessed" afterwards, which
 	// can only miss races, never fabricate them. Shed pages are counted
-	// in Stats.ShadowPagesShed. Zero means unbounded. A page budget
-	// needs the FIFO index, so it forces the unsharded page index
-	// (Shards is ignored when MaxShadowPages > 0).
+	// in Stats.ShadowPagesShed. Zero means unbounded.
 	MaxShadowPages int
-	// Shards, when > 1, shards the shadow page index (rounded up to a
-	// power of two) so AnnotateBatch can check page-disjoint work
-	// concurrently across GOMAXPROCS workers. 0 or 1 keeps the single
-	// map with its MRU cache; single-range annotations behave
-	// identically either way.
-	Shards int
-	// BatchWorkers caps the goroutines AnnotateBatch fans out to
-	// (0 = GOMAXPROCS). Only meaningful with Shards > 1.
-	BatchWorkers int
 }
 
 const (
@@ -322,9 +307,6 @@ type Sanitizer struct {
 	clockArena *vclock.Arena
 	fiberSlab  []Fiber
 	svSlab     []syncVar
-
-	// batch holds AnnotateBatch's reusable worker state.
-	batch batchState
 }
 
 // rangeCacheEntry remembers one range annotation a fiber performed at
@@ -357,13 +339,6 @@ func New(cfg Config) *Sanitizer {
 	if cfg.MaxReports <= 0 {
 		cfg.MaxReports = defaultReports
 	}
-	if cfg.MaxShadowPages > 0 {
-		// The FIFO page budget needs the single creation-ordered index.
-		cfg.Shards = 0
-	}
-	if cfg.Shards > 1 {
-		cfg.Shards = nextPow2(cfg.Shards)
-	}
 	s := &Sanitizer{
 		cfg:        cfg,
 		syncVars:   make(map[SyncKey]*syncVar),
@@ -372,21 +347,11 @@ func New(cfg Config) *Sanitizer {
 		infoIDs:    make(map[*AccessInfo]uint32),
 		clockArena: vclock.NewArena(4),
 	}
-	s.shadow.init(cfg.CellsPerGranule, cfg.Shards)
-	s.shadow.maxPages = cfg.MaxShadowPages
+	s.shadow.init(cfg.CellsPerGranule, cfg.MaxShadowPages)
 	host := s.CreateFiber("host thread")
 	s.cur = host
 	s.stats.FiberSwitches = 0 // creating the host fiber is not a switch
 	return s
-}
-
-// nextPow2 rounds n up to the next power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 const fiberSlabChunk = 16
@@ -590,33 +555,18 @@ func (s *Sanitizer) accessRangeSlow(a memspace.Addr, n int64, write bool, info *
 		}
 		p := s.shadow.page(g >> pageGranuleShift)
 		s.checkGranule(p, int(g&pageGranuleMask), g, mask, write, f, ep,
-			infoID, memspace.Addr(gBase), nil)
+			infoID, memspace.Addr(gBase))
 	}
 	s.accessSeq++
 }
 
-// raceCand is one unreported race candidate: AnnotateBatch workers
-// collect candidates instead of reporting directly, and the batch
-// driver replays them through report in canonical order (shard.go).
-type raceCand struct {
-	op         int
-	g          uint64
-	gAddr      memspace.Addr
-	write      bool
-	infoID     uint32
-	prevFiber  int
-	prevWrite  bool
-	prevInfoID uint32
-}
-
 // checkGranule races the access against granule gi of page p (global
-// granule index g) and records it. Both engines and the batch workers
-// funnel through this, so slot selection, reporting, and eviction are
-// identical by construction. With sink == nil races are reported
-// immediately; otherwise they are appended as candidates.
+// granule index g) and records it. Both engines funnel through this, so
+// slot selection, reporting, and eviction are identical by
+// construction.
 func (s *Sanitizer) checkGranule(p *shadowPage, gi int, g uint64,
 	mask uint8, write bool, f *Fiber, ep vclock.Epoch, infoID uint32,
-	gAddr memspace.Addr, sink *[]raceCand) {
+	gAddr memspace.Addr) {
 	k := s.cfg.CellsPerGranule
 	sameSlot := -1
 	emptySlot := -1
@@ -646,15 +596,8 @@ func (s *Sanitizer) checkGranule(p *shadowPage, gi int, g uint64,
 		}
 		// Concurrent with the stored access: race iff conflicting.
 		if (write || cWrite) && mask&cMask != 0 {
-			if sink != nil {
-				*sink = append(*sink, raceCand{
-					g: g, gAddr: gAddr, write: write, infoID: infoID,
-					prevFiber: cFiber, prevWrite: cWrite, prevInfoID: p.infos[i][gi],
-				})
-			} else {
-				s.report(gAddr, write, s.infoTab[infoID], cFiber, cWrite,
-					s.infoTab[p.infos[i][gi]])
-			}
+			s.report(gAddr, write, s.infoTab[infoID], cFiber, cWrite,
+				s.infoTab[p.infos[i][gi]])
 		}
 	}
 	nc := encodeCell(f.id, ep, write, mask)
